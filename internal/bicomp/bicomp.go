@@ -54,6 +54,9 @@ type Decomposition struct {
 	// memoized per-block diameter upper bounds (see BlockDiameterUpperBound)
 	diamMu sync.Mutex
 	diamUB []int32
+	// memoized maximum of diamUB (see MaxBlockDiameterUpperBound)
+	maxDiamOnce sync.Once
+	maxDiamUB   int32
 }
 
 type dfsFrame struct {
@@ -336,15 +339,15 @@ func (d *Decomposition) BlockDiameterUpperBound(b int32, exactThreshold int) int
 // MaxBlockDiameterUpperBound returns an upper bound on BD(V) = max block
 // diameter (Eq 35), used by the VC-dimension machinery. Exact diameters are
 // used for blocks of at most exactThreshold nodes; larger blocks use the
-// double-sweep 2*ecc upper bound. Memoized after the first call.
+// double-sweep 2*ecc upper bound. Memoized after the first call, like the
+// per-block bounds it maximizes (the first call's exactThreshold wins).
 func (d *Decomposition) MaxBlockDiameterUpperBound(exactThreshold int) int32 {
-	var bd int32
-	for b := int32(0); int(b) < d.NumBlocks; b++ {
-		if v := d.BlockDiameterUpperBound(b, exactThreshold); v > bd {
-			bd = v
+	d.maxDiamOnce.Do(func() {
+		for b := int32(0); int(b) < d.NumBlocks; b++ {
+			d.maxDiamUB = max(d.maxDiamUB, d.BlockDiameterUpperBound(b, exactThreshold))
 		}
-	}
-	return bd
+	})
+	return d.maxDiamUB
 }
 
 // Validate checks decomposition invariants (every edge in exactly one block,

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"saphyra/internal/alias"
 	"saphyra/internal/bicomp"
@@ -94,6 +96,91 @@ type BCPreprocessed struct {
 	// graph doesn't warrant one.
 	sketchOnce sync.Once
 	sketch     *msbfs.Sketch
+
+	// tables holds each block's stage-2/3 sampling tables, indexed by block
+	// id and built on first use (see blockTables): they depend on the
+	// block alone, so every target set touching the block shares them.
+	tables []atomic.Pointer[blockTables]
+
+	// scratchMu guards free, the samplers' O(n) traversal workspaces
+	// returned by finished runs (see getScratch/putScratch).
+	scratchMu sync.Mutex
+	free      []*samplerScratch
+}
+
+// blockTables are one block's stage-2 and stage-3 tables of Algorithm 2,
+// over the block's members in d.Blocks order.
+type blockTables struct {
+	src    *alias.Table // src proportional to r(s)(S-r(s))
+	dst    *alias.Table // dst proportional to r(t)
+	dstCum []float64    // cumulative r(t) — the excision fallback
+}
+
+// blockTables returns block b's sampling tables, building them on first
+// use. Concurrent first uses may both build; the tables are a pure
+// function of the block, so whichever is kept is the same bits.
+func (p *BCPreprocessed) blockTables(b int32) *blockTables {
+	if t := p.tables[b].Load(); t != nil {
+		return t
+	}
+	// O.R is aligned with D.Blocks, so the per-member r-values are direct
+	// reads — no Of() block-list searches.
+	o := p.O
+	rs := o.R[b]
+	srcW := make([]float64, len(rs))
+	dstW := make([]float64, len(rs))
+	dstCum := make([]float64, len(rs))
+	S := float64(o.S[b])
+	var acc float64
+	for i := range rs {
+		r := float64(rs[i])
+		srcW[i] = r * (S - r)
+		dstW[i] = r
+		acc += r
+		dstCum[i] = acc
+	}
+	p.tables[b].CompareAndSwap(nil, &blockTables{src: alias.New(srcW), dst: alias.New(dstW), dstCum: dstCum})
+	return p.tables[b].Load()
+}
+
+// samplerScratch is a bc sampler's O(n) traversal workspace. The
+// epoch-stamped state travels with its epoch, so a workspace handed from
+// one sampler to the next reads as clean: BiBFS and DAG reset what their
+// last query touched, and nbrEpoch keeps counting up over nbrStamp.
+type samplerScratch struct {
+	bfs      *shortestpath.BiBFS
+	dag      *shortestpath.DAG
+	nbrStamp []int32
+	nbrEpoch int32
+}
+
+// getScratch takes a workspace from the free list, or allocates one.
+func (p *BCPreprocessed) getScratch() *samplerScratch {
+	p.scratchMu.Lock()
+	if k := len(p.free); k > 0 {
+		s := p.free[k-1]
+		p.free = p.free[:k-1]
+		p.scratchMu.Unlock()
+		return s
+	}
+	p.scratchMu.Unlock()
+	n := p.G.NumNodes()
+	return &samplerScratch{
+		bfs:      shortestpath.NewBiBFS(n),
+		dag:      shortestpath.NewDAG(n),
+		nbrStamp: make([]int32, n),
+	}
+}
+
+// putScratch returns workspaces to the free list, keeping at most
+// GOMAXPROCS of them: enough for every CPU to sample at once, while a burst
+// of wide runs (a full-network warm-up drives 32 streams) leaves no more
+// than that alive after it.
+func (p *BCPreprocessed) putScratch(ss []*samplerScratch) {
+	p.scratchMu.Lock()
+	defer p.scratchMu.Unlock()
+	room := runtime.GOMAXPROCS(0) - len(p.free)
+	p.free = append(p.free, ss[:max(0, min(room, len(ss)))]...)
 }
 
 // sketchLanes is the landmark count of the sampler's distance sketch: 16
@@ -134,8 +221,14 @@ func (p *BCPreprocessed) distanceSketch() *msbfs.Sketch {
 func PreprocessBC(g *graph.Graph) *BCPreprocessed {
 	d := bicomp.Decompose(g)
 	o := bicomp.NewOutReach(d)
-	view := bicomp.NewBlockCSR(d, o)
-	return &BCPreprocessed{G: g, D: d, O: o, View: view, Exact: exactphase.New(view)}
+	return newBCPreprocessed(bicomp.NewBlockCSR(d, o), d, o)
+}
+
+func newBCPreprocessed(view *bicomp.BlockCSR, d *bicomp.Decomposition, o *bicomp.OutReach) *BCPreprocessed {
+	return &BCPreprocessed{
+		G: view.G, D: d, O: o, View: view, Exact: exactphase.New(view),
+		tables: make([]atomic.Pointer[blockTables], d.NumBlocks),
+	}
 }
 
 // PreprocessBCFromView builds the cached preprocessing around an existing
@@ -153,7 +246,7 @@ func PreprocessBC(g *graph.Graph) *BCPreprocessed {
 // (bicomp.EnsureDecomposition).
 func PreprocessBCFromView(view *bicomp.BlockCSR) *BCPreprocessed {
 	d, o := view.EnsureDecomposition()
-	return &BCPreprocessed{G: view.G, D: d, O: o, View: view, Exact: exactphase.New(view)}
+	return newBCPreprocessed(view, d, o)
 }
 
 // EstimateBC runs the full SaPHyRa_bc pipeline on graph g for target set a.
@@ -238,6 +331,8 @@ func (p *BCPreprocessed) EstimateBC(ctx context.Context, a []graph.Node, opt BCO
 		DisableAdaptive: opt.DisableAdaptive,
 		MaxSamples:      opt.MaxSamples,
 	})
+	// Run returns only once every sampler has stopped, canceled or not.
+	p.putScratch(space.lent)
 	if err != nil {
 		return nil, err
 	}
@@ -262,10 +357,13 @@ type bcSpace struct {
 	// every stage of a draw is O(1) instead of an O(log n) binary search
 	// over a cumulative table. Indexed by position j in blocksA.
 	blockTab *alias.Table   // stage 1: block proportional to w_i
-	srcTab   []*alias.Table // stage 2 per block: src proportional to r(s)(S-r(s))
-	dstTab   []*alias.Table // stage 3 per block: dst proportional to r(t)
-	dstCum   [][]float64    // per block: cumulative r(t) — the excision fallback
+	tabs     []*blockTables // stages 2 and 3, cached on p per block
 	members  [][]graph.Node // per block j: member nodes (dense index base)
+
+	// lent lists the workspaces handed to this space's samplers, for
+	// EstimateBC to return to p once Run is over.
+	lentMu sync.Mutex
+	lent   []*samplerScratch
 
 	lambdaHat float64
 	exact     []float64
@@ -283,9 +381,7 @@ func newBCSpace(ctx context.Context, p *BCPreprocessed, nodes []graph.Node, bloc
 		aIndex:       make([]int32, n),
 		blocksA:      blocksA,
 		wA:           wA,
-		srcTab:       make([]*alias.Table, len(blocksA)),
-		dstTab:       make([]*alias.Table, len(blocksA)),
-		dstCum:       make([][]float64, len(blocksA)),
+		tabs:         make([]*blockTables, len(blocksA)),
 		members:      make([][]graph.Node, len(blocksA)),
 		disableExact: opt.DisableExactSubspace,
 	}
@@ -296,30 +392,12 @@ func newBCSpace(ctx context.Context, p *BCPreprocessed, nodes []graph.Node, bloc
 		sp.aIndex[v] = int32(i)
 	}
 
-	// Multistage alias tables, built once per target set. O.R is aligned
-	// with D.Blocks, so the per-member r-values are direct reads — no
-	// Of() block-list searches on this per-target path.
+	// Stage 1 depends on the target set; stages 2 and 3 only on the block.
 	blockW := make([]float64, len(blocksA))
 	for j, b := range blocksA {
 		blockW[j] = float64(o.W[b])
-		ms := d.Blocks[b]
-		rs := o.R[b]
-		sp.members[j] = ms
-		srcW := make([]float64, len(ms))
-		dstW := make([]float64, len(ms))
-		dstCum := make([]float64, len(ms))
-		S := float64(o.S[b])
-		var acc float64
-		for i := range ms {
-			r := float64(rs[i])
-			srcW[i] = r * (S - r)
-			dstW[i] = r
-			acc += r
-			dstCum[i] = acc
-		}
-		sp.srcTab[j] = alias.New(srcW)
-		sp.dstTab[j] = alias.New(dstW)
-		sp.dstCum[j] = dstCum
+		sp.members[j] = d.Blocks[b]
+		sp.tabs[j] = p.blockTables(b)
 	}
 	sp.blockTab = alias.New(blockW)
 
@@ -393,13 +471,15 @@ func (sp *bcSpace) ExactPhase(context.Context) (float64, []float64, error) {
 // one truncated BFS DAG — on skewed graphs the stage-2 r(s)(S-r(s)) mass
 // concentrates on few hub sources, so grouping amortizes most BFS work.
 func (sp *bcSpace) NewSampler(seed int64) Sampler {
+	scratch := sp.p.getScratch()
+	sp.lentMu.Lock()
+	sp.lent = append(sp.lent, scratch)
+	sp.lentMu.Unlock()
 	return &bcSampler{
-		sp:       sp,
-		rng:      rand.New(rand.NewPCG(uint64(seed), 0x9e3779b97f4a7c15)),
-		bfs:      shortestpath.NewBiBFS(sp.p.G.NumNodes()),
-		dag:      shortestpath.NewDAG(sp.p.G.NumNodes()),
-		nbrStamp: make([]int32, sp.p.G.NumNodes()),
-		sketch:   sp.p.distanceSketch(),
+		sp:             sp,
+		rng:            rand.New(rand.NewPCG(uint64(seed), 0x9e3779b97f4a7c15)),
+		samplerScratch: scratch,
+		sketch:         sp.p.distanceSketch(),
 	}
 }
 
@@ -418,8 +498,12 @@ func (p srcDst) dst() graph.Node { return graph.Node(uint32(p)) }
 type bcSampler struct {
 	sp  *bcSpace
 	rng *rand.Rand
-	bfs *shortestpath.BiBFS
-	dag *shortestpath.DAG
+
+	// The pooled O(n) workspace: the BFS engines, and nbrStamp, which marks
+	// the current group source's neighbors (epoch-stamped) so the
+	// distance <= 2 fast path resolves a pair's disposition from one
+	// adjacency scan, with no BFS and no path materialization.
+	*samplerScratch
 
 	// reusable scratch: the steady-state DrawBatch loop is allocation-free
 	pairs   []srcDst
@@ -427,14 +511,10 @@ type bcSampler struct {
 	pathBuf []graph.Node
 	hits    []int32
 
-	// nbrStamp marks the current group source's neighbors (epoch-stamped):
-	// the distance <= 2 fast path resolves a pair's disposition from one
-	// adjacency scan, with no BFS and no path materialization. mid3 holds
-	// the enumerated interior pairs of the current distance-3 destination,
-	// so repeated samples of one (src, dst) pair index instead of re-scan.
-	nbrStamp []int32
-	nbrEpoch int32
-	mid3     []srcDst
+	// mid3 holds the enumerated interior pairs of the current distance-3
+	// destination, so repeated samples of one (src, dst) pair index instead
+	// of re-scan.
+	mid3 []srcDst
 
 	// sketch, when non-nil, pre-classifies pairs: a triangle lower bound
 	// proving distance >= 4 routes the pair straight to the BFS list with no
@@ -525,16 +605,16 @@ func (s *bcSampler) dagThreshold() int {
 func (s *bcSampler) drawPair() srcDst {
 	sp := s.sp
 	j := sp.blockTab.Draw(s.rng.Float64())
-	members := sp.members[j]
-	si := sp.srcTab[j].Draw(s.rng.Float64())
-	ti := sp.dstTab[j].Draw(s.rng.Float64())
+	members, tabs := sp.members[j], sp.tabs[j]
+	si := tabs.src.Draw(s.rng.Float64())
+	ti := tabs.dst.Draw(s.rng.Float64())
 	if ti == si {
-		ti = sp.dstTab[j].Draw(s.rng.Float64())
+		ti = tabs.dst.Draw(s.rng.Float64())
 	}
 	if ti == si {
 		// Excision: draw a point in the cumulative r(t) mass with src's
 		// interval removed (the exact conditional, as the seed engine did).
-		tc := sp.dstCum[j]
+		tc := tabs.dstCum
 		rs := tc[si]
 		var before float64
 		if si > 0 {

@@ -129,11 +129,23 @@ type Estimate struct {
 
 // Run executes Algorithm 1 on the given space.
 //
+// Schedule: exact phase, then pilot ‖ round 1, then doubling rounds. The
+// pilot (n0 samples on the seed+7_777_777 streams) only feeds the delta_i
+// allocation, which the Bernstein check first reads after round 1 (n0
+// samples on the seed streams), so with Workers >= 2 the two draw at the
+// same time on a split of the workers and join before the allocation;
+// Workers == 1 draws them in sequence. The split cannot move a bit: the
+// two draws use disjoint, independently seeded streams, each stream's
+// output is a function of its seed alone (see drawParallelWith), and
+// every value is read only after the join.
+//
 // Cancellation: ctx is polled at round boundaries (before the pilot and
-// before every adaptive doubling round) and between the per-round virtual
-// sampler streams; a done ctx aborts with a *params.CanceledError and no
-// estimate. The checkpoints never touch the sampler streams, so a run that
-// completes is bitwise-identical to one under a context that never fires.
+// round 1, after both have joined, and before every adaptive doubling
+// round) and between the per-round virtual sampler streams; a done ctx
+// aborts with a *params.CanceledError and no estimate, returned only once
+// every draw has stopped writing. The checkpoints never touch the sampler
+// streams, so a run that completes is bitwise-identical to one under a
+// context that never fires.
 func Run(ctx context.Context, space Space, opt Options) (*Estimate, error) {
 	if err := params.CheckEpsDelta(opt.Epsilon, opt.Delta); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -198,40 +210,24 @@ func Run(ctx context.Context, space Space, opt Options) (*Estimate, error) {
 		rounds = int64(math.Ceil(math.Log2(float64(nmax) / float64(n0))))
 	}
 
-	// Pilot phase (Section III-C): draw n0 independent samples to estimate
-	// per-hypothesis variances, derive the per-hypothesis error-probability
-	// allocation delta_i (Eq 13), rescaled so sum_i 2 delta_i = delta/rounds.
+	// Pilot phase (Section III-C): n0 independent samples estimate the
+	// per-hypothesis variances behind the delta_i allocation (Eq 13),
+	// rescaled so sum_i 2 delta_i = delta/rounds.
 	pilotHits := make([]int64, k)
-	pctx, pilotSpan := obs.StartSpan(ctx, "core.pilot")
-	if err := drawParallel(pctx, space, opt.Seed+7_777_777, workers, n0, pilotHits); err != nil {
+	hits := make([]int64, k)
+	samplers := makeSamplers(space, opt.Seed)
+	if err := pilotAndFirstRound(ctx, space, opt.Seed, workers, n0, pilotHits, samplers, hits); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if pilotSpan != nil {
-		pilotSpan.SetExtra(n0)
-		pilotSpan.End()
-	}
 	est.PilotN = n0
+	est.Rounds = 1
 	deltaBudget := opt.Delta / (2 * float64(rounds))
 	deltas := allocateDeltas(pilotHits, n0, nmax, epsPrime, deltaBudget)
 
 	// Main adaptive loop: double until Bernstein certifies eps' for every
 	// hypothesis or the VC ceiling is reached.
-	hits := make([]int64, k)
-	samplers := makeSamplers(space, opt.Seed)
-	var n int64
-	target := n0
+	n := n0
 	for {
-		est.Rounds++
-		rctx, roundSpan := obs.StartSpan(ctx, "core.round")
-		if err := drawParallelWith(rctx, samplers, workers, target-n, hits); err != nil {
-			roundSpan.End()
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		if roundSpan != nil {
-			roundSpan.SetExtra(target - n)
-			roundSpan.End()
-		}
-		n = target
 		if !opt.DisableAdaptive {
 			worst := 0.0
 			for i := range hits {
@@ -248,10 +244,12 @@ func Run(ctx context.Context, space Space, opt Options) (*Estimate, error) {
 		if n >= nmax {
 			break
 		}
-		target = n * 2
-		if target > nmax {
-			target = nmax
+		target := min(n*2, nmax)
+		est.Rounds++
+		if err := drawRound(ctx, "core.round", samplers, workers, target-n, hits); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
 		}
+		n = target
 	}
 	est.Samples = n
 	for i := range hits {
@@ -317,10 +315,46 @@ func (s *samplerSet) get(v int) Sampler {
 	return s.ss[v]
 }
 
-// drawParallel draws total samples with fresh samplers and accumulates hit
-// counts (used for the pilot).
-func drawParallel(ctx context.Context, space Space, seed int64, workers int, total int64, hits []int64) error {
-	return drawParallelWith(ctx, makeSamplers(space, seed), workers, total, hits)
+// drawRound is drawParallelWith under a span named name, Extra = samples
+// drawn.
+func drawRound(ctx context.Context, name string, samplers *samplerSet, workers int, total int64, hits []int64) error {
+	rctx, span := obs.StartSpan(ctx, name)
+	err := drawParallelWith(rctx, samplers, workers, total, hits)
+	if span != nil {
+		span.SetExtra(total)
+		span.End()
+	}
+	return err
+}
+
+// pilotAndFirstRound draws n0 pilot samples (fresh samplers on the
+// seed+7_777_777 streams) into pilotHits and n0 round-1 samples (samplers)
+// into hits: side by side on a split of the workers when workers >= 2 (see
+// Run), in sequence otherwise. At subset-ranking budgets each draw is
+// below smallBatch and holds one CPU. Both have stopped writing when this
+// returns, and a ctx done by then fails the run, so a cancel that lands
+// while only the pilot is still drawing is never lost.
+func pilotAndFirstRound(ctx context.Context, space Space, seed int64, workers int, n0 int64, pilotHits []int64, samplers *samplerSet, hits []int64) error {
+	pilot := makeSamplers(space, seed+7_777_777)
+	var err error
+	if workers < 2 {
+		err = drawRound(ctx, "core.pilot", pilot, workers, n0, pilotHits)
+		if err == nil {
+			err = drawRound(ctx, "core.round", samplers, workers, n0, hits)
+		}
+	} else {
+		pilotWorkers := workers / 2
+		pilotErr := make(chan error, 1)
+		go func() { pilotErr <- drawRound(ctx, "core.pilot", pilot, pilotWorkers, n0, pilotHits) }()
+		err = drawRound(ctx, "core.round", samplers, workers-pilotWorkers, n0, hits)
+		if perr := <-pilotErr; err == nil {
+			err = perr
+		}
+	}
+	if err == nil {
+		err = params.Interrupted(ctx)
+	}
+	return err
 }
 
 // drawParallelWith draws `total` samples across the virtual sampler streams
@@ -338,9 +372,11 @@ func drawParallel(ctx context.Context, space Space, seed int64, workers int, tot
 // Cancellation is polled once per stream (sched.DoCtx) and, within a
 // stream, every few thousand pairs inside the batch sampler itself (the
 // sched.Stop wired below — the ROADMAP's sub-round cancellation bound): on
-// a done ctx the round aborts and hits is left untouched — the streams that
-// already drew advanced their RNGs, but the whole estimate is discarded by
-// the caller, so no partial counts ever surface. The Stop polls never touch
+// a done ctx the round aborts and hits is left untouched. A raised Stop
+// fails the round even when every stream ran, since the last one may have
+// drawn short after DoCtx's final checkpoint. The streams that already
+// drew advanced their RNGs, but the whole estimate is discarded by the
+// caller, so no partial counts ever surface. The Stop polls never touch
 // the sampler streams, so a round that completes is bitwise-identical to an
 // uncancellable one.
 func drawParallelWith(ctx context.Context, samplers *samplerSet, workers int, total int64, hits []int64) error {
@@ -380,6 +416,11 @@ func drawParallelWith(ctx context.Context, samplers *samplerSet, workers int, to
 			drawSpan.End()
 		}
 	})
+	if err == nil && stop.Stopped() {
+		// The stop fired inside the last stream, after DoCtx's final
+		// checkpoint: that stream may have drawn short.
+		err = context.Cause(ctx)
+	}
 	if err != nil {
 		return &params.CanceledError{Cause: err}
 	}

@@ -2,6 +2,7 @@ package kpath
 
 import (
 	"context"
+	"math"
 
 	"path/filepath"
 	"testing"
@@ -18,7 +19,9 @@ func testView(t *testing.T, g *graph.Graph) *bicomp.BlockCSR {
 
 // TestWorkerCountBitwise: both estimators must produce bitwise-identical
 // results for any worker count — the sample streams belong to fixed virtual
-// workers, not to goroutines.
+// workers, not to goroutines, and Workers >= 2 draws the pilot beside
+// round 1 rather than before it. The two budgets put round 1 below and
+// above the engine's one-stream batch size.
 func TestWorkerCountBitwise(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -29,8 +32,8 @@ func TestWorkerCountBitwise(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a := []graph.Node{0, 3, 17, 99, 120}
-			run := func(partitioned bool, workers int) *Result {
-				opt := Options{K: 4, Epsilon: 0.05, Delta: 0.05, Seed: 9, Workers: workers}
+			run := func(partitioned bool, eps float64, workers int) *Result {
+				opt := Options{K: 4, Epsilon: eps, Delta: 0.05, Seed: 9, Workers: workers}
 				var res *Result
 				var err error
 				if partitioned {
@@ -44,20 +47,25 @@ func TestWorkerCountBitwise(t *testing.T) {
 				return res
 			}
 			for _, partitioned := range []bool{false, true} {
-				ref := run(partitioned, 1)
-				if ref.Est.Samples == 0 {
-					t.Fatal("reference run drew no samples; the test exercises nothing")
-				}
-				for _, workers := range []int{2, 8} {
-					got := run(partitioned, workers)
-					if got.Est.Samples != ref.Est.Samples {
-						t.Fatalf("partitioned=%v workers=%d: samples %d != %d",
-							partitioned, workers, got.Est.Samples, ref.Est.Samples)
+				for _, eps := range []float64{0.05, 0.02} {
+					ref := run(partitioned, eps, 1)
+					if ref.Est.Samples == 0 {
+						t.Fatal("reference run drew no samples; the test exercises nothing")
 					}
-					for i := range ref.KPath {
-						if got.KPath[i] != ref.KPath[i] {
-							t.Fatalf("partitioned=%v workers=%d: KPath[%d] = %v, want %v",
-								partitioned, workers, i, got.KPath[i], ref.KPath[i])
+					for _, workers := range []int{2, 8} {
+						got := run(partitioned, eps, workers)
+						g, r := got.Est, ref.Est
+						if g.Samples != r.Samples || g.PilotN != r.PilotN || g.Rounds != r.Rounds || g.StoppedEarly != r.StoppedEarly {
+							t.Fatalf("partitioned=%v eps=%g workers=%d: samples/pilot/rounds/early %d/%d/%d/%v, want %d/%d/%d/%v",
+								partitioned, eps, workers, g.Samples, g.PilotN, g.Rounds, g.StoppedEarly,
+								r.Samples, r.PilotN, r.Rounds, r.StoppedEarly)
+						}
+						for i := range ref.KPath {
+							if math.Float64bits(got.KPath[i]) != math.Float64bits(ref.KPath[i]) ||
+								math.Float64bits(g.Risks[i]) != math.Float64bits(r.Risks[i]) {
+								t.Fatalf("partitioned=%v eps=%g workers=%d: KPath[%d] = %v, want %v",
+									partitioned, eps, workers, i, got.KPath[i], ref.KPath[i])
+							}
 						}
 					}
 				}

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -136,7 +137,12 @@ func TestReplayReloadStorm(t *testing.T) {
 // log at an unreachable threshold — the worst production telemetry cost)
 // must stay within 20% of an uninstrumented server's. Requests go straight
 // into ServeHTTP so the gate measures the serving stack, not loopback
-// jitter; min-of-rounds p99 filters scheduler and GC noise from both sides.
+// jitter. Each round yields one paired p99 ratio, and the gate reads the
+// median over the rounds: any single round (and any min or max over
+// rounds) is at the mercy of a few scheduler or GC hiccups, while the
+// median of 15 is not. A round's p99 rests on 100 tail samples: with 20,
+// per-round ratios on a loaded 2-CPU host spread from 0.5x to 1.8x around
+// a true overhead near 1.08x, and even the median crossed 1.20x.
 func TestInstrumentationOverheadGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -175,28 +181,36 @@ func TestInstrumentationOverheadGate(t *testing.T) {
 		}
 	}
 	// One round serves both handlers strictly interleaved, so scheduler and
-	// GC noise land on both sides of the comparison alike.
-	p99Pair := func(n int) (plainP99, instrP99 time.Duration) {
+	// GC noise land on both sides of the comparison alike; which handler
+	// leads each pair alternates by round, so neither side always pays for
+	// running first (or second) after the other's allocations.
+	p99Pair := func(n int, instrFirst bool) (plainP99, instrP99 time.Duration) {
 		var rp, ri hist.Histogram
 		for i := 0; i < n; i++ {
-			serveOne(plain.Handler(), &rp)
-			serveOne(instr.Handler(), &ri)
+			if instrFirst {
+				serveOne(instr.Handler(), &ri)
+				serveOne(plain.Handler(), &rp)
+			} else {
+				serveOne(plain.Handler(), &rp)
+				serveOne(instr.Handler(), &ri)
+			}
 		}
 		return rp.Quantile(0.99), ri.Quantile(0.99)
 	}
-	p99Pair(100) // warm caches and page mappings
+	p99Pair(100, false) // warm caches and page mappings
 
-	const rounds, per = 5, 2000
-	minPlain, minInstr := time.Duration(1<<62), time.Duration(1<<62)
-	for r := 0; r < rounds; r++ {
-		p, i := p99Pair(per)
-		minPlain, minInstr = min(minPlain, p), min(minInstr, i)
+	const rounds, per = 15, 10000
+	ratios := make([]float64, rounds)
+	for r := range ratios {
+		p, i := p99Pair(per, r%2 == 1)
+		ratios[r] = float64(i) / float64(p)
 	}
-	ratio := float64(minInstr) / float64(minPlain)
-	t.Logf("cache-hit p99: uninstrumented %v, instrumented %v (%.2fx)", minPlain, minInstr, ratio)
+	slices.Sort(ratios)
+	ratio := ratios[rounds/2]
+	t.Logf("cache-hit p99 ratio instrumented/uninstrumented: median %.2fx over %d rounds (%.2fx..%.2fx)",
+		ratio, rounds, ratios[0], ratios[rounds-1])
 	if ratio > 1.20 {
-		t.Errorf("instrumented cache-hit p99 %v is %.2fx the uninstrumented %v, want <= 1.20x",
-			minInstr, ratio, minPlain)
+		t.Errorf("instrumented cache-hit p99 is a median %.2fx the uninstrumented, want <= 1.20x", ratio)
 	}
 }
 

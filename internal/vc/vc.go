@@ -17,9 +17,11 @@ package vc
 
 import (
 	"math"
+	"sync"
 
 	"saphyra/internal/bicomp"
 	"saphyra/internal/graph"
+	"saphyra/internal/shortestpath"
 )
 
 // DimFromMaxInner applies Lemma 5: given an upper bound piMax on the number
@@ -113,17 +115,27 @@ func Subset(d *bicomp.Decomposition, a []graph.Node, exactThreshold int) int {
 	return DimFromMaxInner(SubsetBound(d, a, exactThreshold))
 }
 
+// dagPool recycles the subset-diameter BFS workspaces across calls.
+var dagPool sync.Pool
+
 // subsetDiameterUB bounds the pairwise distance among nodes (all in one
 // block, so graph distances equal block distances) by 2*max distance from
-// the first member.
+// the first member. The BFS stops at the level that settles the last
+// member: the distances it reports are the full BFS's, and the ball past
+// the farthest member never matters.
 func subsetDiameterUB(g *graph.Graph, members []graph.Node) int32 {
 	if len(members) < 2 {
 		return 0
 	}
-	dist := graph.BFSDistances(g, members[0], nil)
+	dag, _ := dagPool.Get().(*shortestpath.DAG)
+	if dag == nil || len(dag.Dist) != g.NumNodes() {
+		dag = shortestpath.NewDAG(g.NumNodes())
+	}
+	defer dagPool.Put(dag)
+	dag.RunTruncated(g, members[0], members)
 	var far int32
 	for _, t := range members {
-		if d := dist[t]; d > far {
+		if d := dag.Dist[t]; d > far {
 			far = d
 		}
 	}

@@ -161,3 +161,84 @@ func TestTableIRow(t *testing.T) {
 		t.Errorf("SaPHyRa full %d exceeds Riondato %d", row.SaPHyRaFull, row.RiondatoFull)
 	}
 }
+
+// fullBFSSubsetBound is the Lemma 23 bound with the subset diameter taken
+// from a full single-source BFS of the graph — the reference the truncated
+// subsetDiameterUB must reproduce exactly.
+func fullBFSSubsetBound(d *bicomp.Decomposition, a []graph.Node, exactThreshold int) int64 {
+	seen := make(map[graph.Node]bool)
+	byBlock := make(map[int32][]graph.Node)
+	for _, v := range a {
+		if seen[v] {
+			continue
+		}
+		seen[v] = true
+		for _, b := range d.NodeBlocks[v] {
+			byBlock[b] = append(byBlock[b], v)
+		}
+	}
+	var bs int64
+	for b, members := range byBlock {
+		cand := min(int64(len(members)), int64(d.BlockDiameterUpperBound(b, exactThreshold))-1)
+		if cand > 2 && len(members) >= 2 {
+			dist := graph.BFSDistances(d.G, members[0], nil)
+			var far int32
+			for _, t := range members {
+				far = max(far, dist[t])
+			}
+			cand = min(cand, int64(2*far)+1)
+		}
+		bs = max(bs, cand)
+	}
+	return bs
+}
+
+// TestSubsetBoundMatchesFullBFS: stopping the subset-diameter BFS at the
+// last member must not move the bound, on the graph shapes whose blocks
+// the bound sees — scale-free, road grid, cliques with pendant paths and
+// rings, and trees (all size-2 blocks).
+func TestSubsetBoundMatchesFullBFS(t *testing.T) {
+	pc := graph.NewBuilder(0)
+	const k = 30
+	for i := graph.Node(0); i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			pc.AddEdge(i, j)
+		}
+	}
+	next := graph.Node(k)
+	for c := graph.Node(0); c < k; c += 6 {
+		prev := c // pendant path off clique node c
+		for i := 0; i < 8; i++ {
+			pc.AddEdge(prev, next)
+			prev, next = next, next+1
+		}
+	}
+	ring := next // a 40-cycle through clique node 0
+	for i := graph.Node(0); i < 39; i++ {
+		pc.AddEdge(ring+i, ring+i+1)
+	}
+	pc.AddEdge(0, ring)
+	pc.AddEdge(ring+39, 0)
+	for name, g := range map[string]*graph.Graph{
+		"ba":             graph.BarabasiAlbert(1500, 3, 4),
+		"road":           graph.RoadNetwork(30, 30, 0.15, 7),
+		"pendant-clique": pc.Build(),
+		"tree":           graph.RandomTree(500, 3),
+	} {
+		t.Run(name, func(t *testing.T) {
+			d := bicomp.Decompose(g)
+			rng := rand.New(rand.NewSource(11))
+			for trial := 0; trial < 60; trial++ {
+				a := make([]graph.Node, 1+rng.Intn(80))
+				for i := range a {
+					a[i] = graph.Node(rng.Intn(g.NumNodes()))
+				}
+				for _, thr := range []int{0, 64} {
+					if got, want := SubsetBound(d, a, thr), fullBFSSubsetBound(d, a, thr); got != want {
+						t.Fatalf("trial %d thr %d: SubsetBound = %d, full-BFS bound = %d", trial, thr, got, want)
+					}
+				}
+			}
+		})
+	}
+}
